@@ -105,15 +105,6 @@ func TestCleanContextNoDPsDetected(t *testing.T) {
 	if rep.PairsAfter != rep.PairsBefore {
 		t.Errorf("DP-free run changed the KB: %d -> %d pairs", rep.PairsBefore, rep.PairsAfter)
 	}
-
-	// The deprecated shim keeps the legacy contract: no error.
-	legacyRep, legacyErr := Clean(noDriftConfig())
-	if legacyErr != nil {
-		t.Errorf("legacy Clean on DP-free run: %v", legacyErr)
-	}
-	if legacyRep == nil || legacyRep.PairsAfter != rep.PairsAfter {
-		t.Errorf("legacy report diverged: %+v", legacyRep)
-	}
 }
 
 func TestCleanContextWithMethod(t *testing.T) {

@@ -1,6 +1,8 @@
 package driftclean
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -16,7 +18,7 @@ func smallConfig() Config {
 }
 
 func TestCleanEndToEnd(t *testing.T) {
-	rep, err := Clean(smallConfig())
+	rep, err := CleanContext(context.Background(), WithConfig(smallConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +40,8 @@ func TestCleanEndToEnd(t *testing.T) {
 }
 
 func TestCleanWithAdHoc(t *testing.T) {
-	rep, err := CleanWith(smallConfig(), DetectAdHoc2)
-	if err != nil {
+	rep, err := CleanWithContext(context.Background(), DetectAdHoc2, WithConfig(smallConfig()))
+	if err != nil && !errors.Is(err, ErrNoDPsDetected) {
 		t.Fatal(err)
 	}
 	if rep.PrecisionAfter < rep.PrecisionBefore-0.01 {

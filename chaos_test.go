@@ -54,7 +54,7 @@ func TestChaosDisabledFaultsAreNoOp(t *testing.T) {
 	run := func(inj *fault.Injector) string {
 		cfg := chaosConfig()
 		cfg.Fault = inj
-		rep, err := Clean(cfg)
+		rep, err := CleanContext(context.Background(), WithConfig(cfg))
 		if err != nil {
 			t.Fatalf("fault-free pipeline failed: %v", err)
 		}
@@ -70,7 +70,7 @@ func TestChaosDisabledFaultsAreNoOp(t *testing.T) {
 	counting := fault.New(1, nil)
 	cfg := chaosConfig()
 	cfg.Fault = counting
-	if _, err := Clean(cfg); err != nil {
+	if _, err := CleanContext(context.Background(), WithConfig(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	for _, site := range pipelineSites {
@@ -87,7 +87,7 @@ func TestChaosLatencyOnlyIsByteIdentical(t *testing.T) {
 	run := func(inj *fault.Injector) string {
 		cfg := chaosConfig()
 		cfg.Fault = inj
-		rep, err := Clean(cfg)
+		rep, err := CleanContext(context.Background(), WithConfig(cfg))
 		if err != nil {
 			t.Fatalf("pipeline failed under latency-only chaos: %v", err)
 		}
@@ -143,7 +143,7 @@ func TestChaosSmokeFingerprintMatchesBenchArtifact(t *testing.T) {
 	cfg.Corpus.NumSentences = sc.Sentences
 	cfg.Clean.MaxRounds = sc.Rounds
 	cfg.Fault = fault.New(1, nil) // armed, ruleless: must be a pure no-op
-	rep, err := Clean(cfg)
+	rep, err := CleanContext(context.Background(), WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,6 @@
 //	driftbench -scales ingest        # incremental ingest: per-batch latency
 //	                                 # vs a from-scratch rerun (medium corpus)
 //	driftbench -scales ingest-smoke  # tiny ingest scenario, for CI
-//	driftbench -scales solver-ab     # ladder + Jacobi-solver twins of the
-//	                                 # smoke and large scales (eigensolver A/B)
-//	driftbench -solver jacobi        # pin all scales to the Jacobi oracle
 //	driftbench -out bench.json       # artifact path (default BENCH_pipeline.json)
 //	driftbench -check old.json       # fail if any same-named scale's KB
 //	                                 # fingerprint differs from old.json
@@ -38,8 +35,7 @@ import (
 
 func main() {
 	smoke := flag.Bool("smoke", false, "run the single tiny CI scale instead of the full ladder")
-	scaleSet := flag.String("scales", "", `scale set: "default" (small/medium/large), "smoke", "ingest", "ingest-smoke", "all" (smoke + ladder + ingest), or "solver-ab" (all plus Jacobi-solver twins of smoke and large); overrides -smoke`)
-	solver := flag.String("solver", "", `pin every selected scale to one KPCA eigensolver: "topk" (default path) or "jacobi" (the oracle escape hatch; scale names get a "-jacobi" suffix)`)
+	scaleSet := flag.String("scales", "", `scale set: "default" (small/medium/large), "smoke", "ingest", "ingest-smoke" or "all" (smoke + ladder + ingest); overrides -smoke`)
 	out := flag.String("out", "BENCH_pipeline.json", "artifact output path")
 	check := flag.String("check", "", "path of a previous artifact; fail if any same-named scale's KB fingerprint differs")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the timed runs to this path")
@@ -66,22 +62,8 @@ func main() {
 	case "all":
 		scales = append(bench.SmokeScales(), bench.DefaultScales()...)
 		ingestScales = append(bench.SmokeIngestScales(), bench.DefaultIngestScales()...)
-	case "solver-ab":
-		// The before/after artifact for the top-k eigensolver: the full
-		// ladder on the default path plus Jacobi twins of the endpoints.
-		scales = append(bench.SmokeScales(), bench.DefaultScales()...)
-		scales = append(scales, bench.JacobiTwins([]bench.Scale{scales[0], scales[len(scales)-1]})...)
-		ingestScales = append(bench.SmokeIngestScales(), bench.DefaultIngestScales()...)
 	default:
-		fmt.Fprintf(os.Stderr, "driftbench: unknown -scales %q (want default, smoke, ingest, ingest-smoke, all or solver-ab)\n", *scaleSet)
-		os.Exit(2)
-	}
-	switch *solver {
-	case "", "topk":
-	case "jacobi":
-		scales = bench.JacobiTwins(scales)
-	default:
-		fmt.Fprintf(os.Stderr, "driftbench: unknown -solver %q (want topk or jacobi)\n", *solver)
+		fmt.Fprintf(os.Stderr, "driftbench: unknown -scales %q (want default, smoke, ingest, ingest-smoke or all)\n", *scaleSet)
 		os.Exit(2)
 	}
 

@@ -6,6 +6,8 @@ package driftclean
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -30,11 +32,11 @@ func tinyConfig() Config {
 // TestPipelineDeterminism: identical configs must produce bit-identical
 // outcomes end to end, including through the parallel analysis stage.
 func TestPipelineDeterminism(t *testing.T) {
-	r1, err := Clean(tinyConfig())
+	r1, err := CleanContext(context.Background(), WithConfig(tinyConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Clean(tinyConfig())
+	r2, err := CleanContext(context.Background(), WithConfig(tinyConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +115,8 @@ func TestDegenerateScales(t *testing.T) {
 			cfg := tinyConfig()
 			cfg.Corpus.NumSentences = 3000
 			mutate(&cfg)
-			rep, err := Clean(cfg)
-			if err != nil {
+			rep, err := CleanContext(context.Background(), WithConfig(cfg))
+			if err != nil && !errors.Is(err, ErrNoDPsDetected) {
 				t.Fatalf("pipeline failed: %v", err)
 			}
 			if rep.System.KB == nil {

@@ -23,7 +23,6 @@ import (
 	"driftclean/internal/eval"
 	"driftclean/internal/extract"
 	"driftclean/internal/kb"
-	"driftclean/internal/kpca"
 	"driftclean/internal/world"
 )
 
@@ -36,11 +35,6 @@ type Scale struct {
 	// CleanRounds caps the detect-and-clean rounds timed at this scale
 	// (each round re-runs the full analysis, the dominant cost).
 	CleanRounds int `json:"clean_rounds"`
-	// Solver selects the KPCA eigensolver: "" or "topk" for the top-k
-	// production path, "jacobi" for the full-spectrum oracle (the
-	// escape hatch). Part of the scale identity, so -check never
-	// compares fingerprints across solvers.
-	Solver string `json:"solver,omitempty"`
 }
 
 // DefaultScales returns the standard benchmark ladder. The top rung
@@ -56,19 +50,6 @@ func DefaultScales() []Scale {
 // SmokeScales returns the single tiny scale the CI smoke run uses.
 func SmokeScales() []Scale {
 	return []Scale{{Name: "smoke", Sentences: 6000, CleanRounds: 1}}
-}
-
-// JacobiTwins returns copies of the given scales pinned to the Jacobi
-// oracle solver, names suffixed "-jacobi". Benchmarking a scale next to
-// its twin is the before/after comparison for the top-k eigensolver.
-func JacobiTwins(scales []Scale) []Scale {
-	twins := make([]Scale, len(scales))
-	for i, sc := range scales {
-		sc.Name += "-jacobi"
-		sc.Solver = "jacobi"
-		twins[i] = sc
-	}
-	return twins
 }
 
 // StageSeconds breaks one run's wall time down by pipeline stage.
@@ -199,9 +180,6 @@ func timeRun(sc Scale, parallelism int) RunStats {
 	cfg := core.DefaultConfig()
 	cfg.Corpus.NumSentences = sc.Sentences
 	cfg.Clean.MaxRounds = sc.CleanRounds
-	if sc.Solver == "jacobi" {
-		cfg.KPCA.Solver = kpca.SolverJacobi
-	}
 	cfg.Parallelism = parallelism
 	cfg.Corpus.Parallelism = parallelism
 	cfg.Extract.Parallelism = parallelism
@@ -302,8 +280,7 @@ func CheckAgainst(res *Result, path string) ([]string, error) {
 	shared := 0
 	for _, sc := range res.Scales {
 		prev, ok := oldByName[sc.Name]
-		if !ok || prev.Sentences != sc.Sentences || prev.CleanRounds != sc.CleanRounds ||
-			prev.Solver != sc.Solver {
+		if !ok || prev.Sentences != sc.Sentences || prev.CleanRounds != sc.CleanRounds {
 			continue
 		}
 		shared++

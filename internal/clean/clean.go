@@ -54,9 +54,10 @@ type Config struct {
 	DisableCascade bool
 	// Cache, when non-nil, is the cross-round random-walk score cache
 	// shared with the analysis passes: the Eq 21 checks read scores
-	// through it (when its configuration matches Walk), and every
-	// rollback invalidates exactly the concepts it touched, so the next
-	// round — and the next analysis — re-walks only what changed.
+	// through it (when its configuration matches Walk; otherwise each
+	// round scores through a cache of its own), and every rollback
+	// invalidates exactly the concepts it touched, so the next round —
+	// and the next analysis — re-walks only what changed.
 	Cache *rank.Cache
 	// OnRound, when non-nil, is invoked before each detect-and-clean
 	// round with the 1-based round number; returning true stops the loop
@@ -171,39 +172,22 @@ func CleanRound(k *kb.KB, labels Labels, cfg Config) RoundResult {
 	// and the set of concepts Phase 1 will score is known up front: each
 	// checked extraction consults its chosen concept and every sentence
 	// candidate. Precompute those walks concurrently into the cache
-	// before the (order-sensitive, sequential) flagging pass; the lazy
-	// path below stays as the serial fallback and as a safety net for any
-	// concept the prepass missed. Walk scores are deterministic, so the
-	// flags are identical either way.
+	// before the (order-sensitive, sequential) flagging pass; a concept
+	// the prepass missed is walked lazily on first lookup. Walk scores
+	// are deterministic, so the flags are identical either way.
 	//
-	// When a shared cross-round cache with a matching walk configuration
-	// is wired in, both the prepass and the lazy path go through it:
-	// concepts the preceding analysis (or an earlier round) already
-	// walked — and that no rollback has touched since — are free.
-	var scoresOf func(concept string) rank.Scores
-	if cfg.Cache != nil && cfg.Cache.Config() == cfg.Walk {
-		if workers := par.Workers(cfg.Parallelism); workers > 1 && !cfg.DropAllIntentional {
-			if need := phase1Concepts(k, labels, concepts); len(need) > 0 {
-				cfg.Cache.Warm(k, need, workers)
-			}
-		}
-		scoresOf = func(concept string) rank.Scores { return cfg.Cache.Scores(k, concept) }
-	} else {
-		scoreCache := map[string]rank.Scores{}
-		if workers := par.Workers(cfg.Parallelism); workers > 1 && !cfg.DropAllIntentional {
-			if need := phase1Concepts(k, labels, concepts); len(need) > 0 {
-				scoreCache = rank.WalkConcepts(k, need, cfg.Walk, workers)
-			}
-		}
-		scoresOf = func(concept string) rank.Scores {
-			if s, ok := scoreCache[concept]; ok {
-				return s
-			}
-			s := rank.RandomWalk(rank.BuildGraph(k, concept), cfg.Walk)
-			scoreCache[concept] = s
-			return s
-		}
+	// A shared cross-round cache with a matching walk configuration
+	// makes concepts the preceding analysis (or an earlier round)
+	// already walked — and that no rollback has touched since — free.
+	// Without one, the round scores through a cache of its own.
+	cache := cfg.Cache
+	if cache == nil || cache.Config() != cfg.Walk {
+		cache = rank.NewCache(cfg.Walk)
 	}
+	if workers := par.Workers(cfg.Parallelism); workers > 1 && !cfg.DropAllIntentional {
+		cache.Warm(k, phase1Concepts(k, labels, concepts), workers)
+	}
+	scoresOf := func(concept string) rank.Scores { return cache.Scores(k, concept) }
 	var flagged []int
 	for _, concept := range concepts {
 		for instance, lbl := range labels[concept] {

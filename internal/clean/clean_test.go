@@ -1,6 +1,9 @@
 package clean
 
 import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"driftclean/internal/dp"
@@ -230,30 +233,6 @@ func TestRunKeepsCustomWalkConfig(t *testing.T) {
 	}
 }
 
-// TestCleanRoundParallelMatchesSerial pins the prewarm guarantee: the
-// concurrent score precomputation must not change any flagging decision.
-func TestCleanRoundParallelMatchesSerial(t *testing.T) {
-	labels := Labels{"animal": {"chicken": dp.Intentional}}
-	serialKB, parKB := paperExampleKB(), paperExampleKB()
-
-	serialCfg := DefaultConfig()
-	serialCfg.Parallelism = 1
-	serial := CleanRound(serialKB, labels, serialCfg)
-
-	parCfg := DefaultConfig()
-	parCfg.Parallelism = 4
-	parallel := CleanRound(parKB, labels, parCfg)
-
-	if serial != parallel {
-		t.Errorf("parallel round %+v differs from serial %+v", parallel, serial)
-	}
-	for _, pair := range [][2]string{{"animal", "pork"}, {"animal", "chicken"}, {"food", "pork"}} {
-		if serialKB.Has(pair[0], pair[1]) != parKB.Has(pair[0], pair[1]) {
-			t.Errorf("KB state diverges at %v", pair)
-		}
-	}
-}
-
 func TestDisableCascadeAblation(t *testing.T) {
 	build := func() *kb.KB {
 		k := kb.New()
@@ -278,5 +257,87 @@ func TestDisableCascadeAblation(t *testing.T) {
 	}
 	if !oneShot.Has("country", "boston") {
 		t.Error("one-shot removal must leave triggered pairs in place (that is the ablation)")
+	}
+}
+
+// twoPhaseKB is paperExampleKB plus an Accidental DP whose removal
+// cascades, so one round exercises both the Eq 21 check and the cascade.
+func twoPhaseKB() *kb.KB {
+	k := paperExampleKB()
+	k.AddExtraction(400, "country", nil, []string{"france", "new_york"}, nil, 1)
+	k.AddExtraction(401, "country", nil, []string{"boston"}, []string{"new_york"}, 2)
+	return k
+}
+
+// TestCleanRoundParallelMatchesSerial pins the prewarm guarantee — the
+// concurrent score precomputation must not change any flagging decision
+// — on every scoring path: CleanRound scores Eq 21 through the shared
+// cache when its walk configuration matches cfg.Walk, and through a
+// cache of its own for the round otherwise. Every cache setup, serial or
+// parallel, must clean the KB identically.
+func TestCleanRoundParallelMatchesSerial(t *testing.T) {
+	labels := Labels{
+		"animal":  {"chicken": dp.Intentional},
+		"country": {"new_york": dp.Accidental},
+	}
+	defaultWalk := DefaultConfig().Walk
+	otherWalk := defaultWalk
+	otherWalk.Restart = 0.5
+	setups := []struct {
+		name string
+		walk *rank.Config // shared cache's walk config; nil means no cache
+		// shared reports whether the round must score through the
+		// shared cache.
+		shared bool
+	}{
+		{"shared-cache", &defaultWalk, true},
+		{"mismatched-cache", &otherWalk, false},
+		{"no-cache", nil, false},
+	}
+	type outcome struct {
+		rr     RoundResult
+		pairs  []kb.Pair
+		active []bool
+	}
+	var ref *outcome
+	for _, setup := range setups {
+		for _, parallelism := range []int{1, 4} {
+			k := twoPhaseKB()
+			cfg := DefaultConfig()
+			cfg.Parallelism = parallelism
+			var walks atomic.Int64
+			if setup.walk != nil {
+				cfg.Cache = rank.NewCache(*setup.walk)
+				cfg.Cache.SetWalk(func(g *rank.Graph, c rank.Config) rank.Scores {
+					walks.Add(1)
+					return rank.RandomWalk(g, c)
+				})
+			}
+			got := &outcome{rr: CleanRound(k, labels, cfg), pairs: k.Pairs()}
+			for id := 0; id < k.NumExtractions(); id++ {
+				got.active = append(got.active, k.Extraction(id).Active)
+			}
+			name := fmt.Sprintf("%s/p%d", setup.name, parallelism)
+			if setup.shared != (walks.Load() > 0) {
+				t.Errorf("%s: shared cache ran %d walks; round should score through it: %v",
+					name, walks.Load(), setup.shared)
+			}
+			if ref == nil {
+				ref = got
+				if k.Has("animal", "pork") || k.Has("country", "boston") {
+					t.Fatalf("%s: round left drifted pairs in place: %+v", name, got.rr)
+				}
+				continue
+			}
+			if got.rr != ref.rr {
+				t.Errorf("%s: round %+v, want %+v", name, got.rr, ref.rr)
+			}
+			if !reflect.DeepEqual(got.pairs, ref.pairs) {
+				t.Errorf("%s: KB pairs %v, want %v", name, got.pairs, ref.pairs)
+			}
+			if !reflect.DeepEqual(got.active, ref.active) {
+				t.Errorf("%s: extraction states %v, want %v", name, got.active, ref.active)
+			}
+		}
 	}
 }

@@ -122,13 +122,12 @@ func DefaultConfig() Config {
 // System holds the built substrate: the world, the corpus and the
 // (drifted) extraction result.
 //
-// A System memoizes analysis work across calls: the per-concept
+// A System reuses analysis work across calls: the per-concept
 // random-walk score cache is shared between every Analyze pass and the
 // cleaning rounds (rollbacks invalidate exactly the concepts they
-// touch), and a full *Analysis is reused verbatim when the KB has not
-// mutated since it was computed. Like the KB itself, a System's
-// orchestration methods (Analyze, Detect, CleanDPs) are not safe for
-// concurrent use.
+// touch), and each concept's learning task is kept while its inputs are
+// unchanged. Like the KB itself, a System's orchestration methods
+// (Analyze, Detect, CleanDPs) are not safe for concurrent use.
 type System struct {
 	Cfg        Config
 	World      *world.World
@@ -145,13 +144,6 @@ type System struct {
 	// skips the power iteration for every concept whose trigger graph is
 	// unchanged from the previous checkpoint.
 	walkMemo *rank.WalkMemo
-	// memo holds the last Analysis with the KB identity + version it was
-	// computed from; a hit requires both to be unchanged.
-	memo struct {
-		k        *kb.KB
-		version  uint64
-		analysis *Analysis
-	}
 	// taskCache persists each concept's learning task across analysis
 	// passes, keyed by a signature of the task's exact inputs (instance
 	// names, seed labels, raw feature matrix). A task is a pure function
@@ -254,17 +246,11 @@ type Analysis struct {
 // features, KPCA) is fanned out across CPUs; results are deterministic
 // regardless of parallelism.
 //
-// Analysis is a pure function of the KB state and the (fixed) config,
-// so a repeated call on an unmutated KB — detected by pointer identity
-// plus the KB's mutation version — returns the previous *Analysis
-// without recomputing anything. Between cleaning rounds, the shared
-// score cache goes further: only concepts a rollback touched are
-// re-walked.
+// Every call builds a fresh *Analysis. Between cleaning rounds the
+// shared score cache re-walks only the concepts a rollback touched, and
+// a concept whose task inputs are unchanged reuses its cached task.
 func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 	s.Cfg.Fault.Check("core.analyze")
-	if s.memo.analysis != nil && s.memo.k == k && s.memo.version == k.Version() {
-		return s.memo.analysis, nil
-	}
 	a := &Analysis{
 		Mutex: mutex.Analyze(k, s.Cfg.Mutex),
 	}
@@ -301,7 +287,6 @@ func (s *System) Analyze(k *kb.KB) (*Analysis, error) {
 		a.Tasks = append(a.Tasks, task)
 		a.Concepts = append(a.Concepts, eligible[i])
 	}
-	s.memo.k, s.memo.version, s.memo.analysis = k, k.Version(), a
 	return a, nil
 }
 
@@ -339,7 +324,7 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string) (*learn.Task, 
 	}
 	raw := a.Features.Matrix(concept, names)
 
-	sig := taskSignature(concept, names, seeds, raw, s.Cfg.KPCA)
+	sig := taskSignature(concept, names, seeds, raw)
 	s.taskMu.Lock()
 	if e, ok := s.taskCache[concept]; ok && e.sig == sig {
 		s.taskHits++
@@ -429,16 +414,12 @@ func (s *System) buildTask(k *kb.KB, a *Analysis, concept string) (*learn.Task, 
 
 // taskSignature hashes the exact inputs a concept's learning task is a
 // function of: the sorted instance names, each name's seed label (or
-// its absence), the raw feature matrix bit for bit, and the KPCA solver
-// configuration. The solver bytes matter for the Session delta-reuse
-// path: a cached task embeds the eigensolver's (and kernel precision's)
-// numerical fingerprint, so a config that switches solvers mid-flight —
-// e.g. the Jacobi escape hatch — must miss rather than replay top-k
-// projections. Names are sorted and the matrix rows follow name order,
-// so the signature is deterministic; equal signatures mean the
-// previously built task is byte-identical to what a rebuild would
-// produce.
-func taskSignature(concept string, names []string, seeds map[string]dp.Label, raw [][]float64, kcfg kpca.Config) uint64 {
+// its absence) and the raw feature matrix bit for bit. Names are sorted
+// and the matrix rows follow name order, so the signature is
+// deterministic; equal signatures mean the previously built task is
+// byte-identical to what a rebuild would produce under the system's
+// fixed config.
+func taskSignature(concept string, names []string, seeds map[string]dp.Label, raw [][]float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -447,11 +428,6 @@ func taskSignature(concept string, names []string, seeds map[string]dp.Label, ra
 	}
 	_, _ = h.Write([]byte(concept))
 	_, _ = h.Write([]byte{0})
-	kernel32 := byte(0)
-	if kcfg.Kernel32 {
-		kernel32 = 1
-	}
-	_, _ = h.Write([]byte{byte(kcfg.Solver), kernel32})
 	u64(uint64(len(names)))
 	for i, e := range names {
 		_, _ = h.Write([]byte(e))

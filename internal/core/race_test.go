@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -24,7 +25,8 @@ func hammerConfig() Config {
 // slices written from worker goroutines) and for the feature extractor's
 // cache fills; every run must also produce bit-identical tasks — the
 // "deterministic regardless of parallelism" contract that the drift
-// metrics depend on.
+// metrics depend on. Each run must return its own *Analysis: a run
+// handed back a shared result would exercise none of that.
 func TestAnalyzeParallelHammer(t *testing.T) {
 	sys := Build(hammerConfig())
 	ref, err := sys.Analyze(sys.KB)
@@ -34,12 +36,21 @@ func TestAnalyzeParallelHammer(t *testing.T) {
 	if len(ref.Tasks) == 0 {
 		t.Fatal("reference analysis built no tasks")
 	}
+	var mu sync.Mutex
+	seen := map[*Analysis]bool{ref: true}
 	for i := 0; i < 6; i++ {
 		t.Run(fmt.Sprintf("analyze-%d", i), func(t *testing.T) {
 			t.Parallel()
 			a, err := sys.Analyze(sys.KB)
 			if err != nil {
 				t.Fatal(err)
+			}
+			mu.Lock()
+			dup := seen[a]
+			seen[a] = true
+			mu.Unlock()
+			if dup {
+				t.Fatal("Analyze returned an *Analysis another run already got")
 			}
 			if !reflect.DeepEqual(a.Concepts, ref.Concepts) {
 				t.Fatalf("concept order differs across runs:\n%v\nvs\n%v", a.Concepts, ref.Concepts)

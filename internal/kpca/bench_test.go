@@ -19,29 +19,16 @@ func benchPoints(n, d int) [][]float64 {
 	return x
 }
 
-// BenchmarkFit compares the solver and kernel-precision knobs on the
-// same point cloud: topk (default), the Jacobi oracle, and the blocked
-// float32 kernel build feeding the top-k solver.
+// BenchmarkFit times one fit on an 80-point cloud, the scale of a
+// capped per-concept KPCA fit.
 func BenchmarkFit(b *testing.B) {
 	x := benchPoints(80, 6)
-	variants := []struct {
-		name string
-		cfg  func() Config
-	}{
-		{"topk", DefaultConfig},
-		{"jacobi", func() Config { c := DefaultConfig(); c.Solver = SolverJacobi; return c }},
-		{"topk-kernel32", func() Config { c := DefaultConfig(); c.Kernel32 = true; return c }},
-	}
-	for _, v := range variants {
-		cfg := v.cfg()
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Fit(x, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Fit(x, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

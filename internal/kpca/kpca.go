@@ -6,11 +6,10 @@
 // from the mutual-exclusion relation — from over-fitting to the single f2
 // dimension.
 //
-// Only the top MaxComponents eigenpairs are consumed, so the default
-// eigensolver (Config.Solver = SolverTopK) recovers exactly that many
-// eigenvectors via linalg.EigenSymTopK; SolverJacobi is the full-spectrum
-// escape hatch, kept bit-identical to the pre-top-k pipeline and used as
-// the oracle by the differential test suite.
+// Only the top MaxComponents eigenpairs are consumed, so Fit recovers
+// exactly that many eigenvectors via linalg.EigenSymTopK. The
+// full-spectrum Jacobi decomposition (linalg.EigenSym) remains only as
+// the solver's fallback and as the oracle of the differential tests.
 package kpca
 
 import (
@@ -20,36 +19,6 @@ import (
 
 	"driftclean/internal/linalg"
 )
-
-// Solver selects the eigendecomposition backend Fit runs on the
-// centered kernel matrix.
-type Solver int
-
-const (
-	// SolverTopK — the default — tridiagonalizes the kernel matrix and
-	// recovers eigenvectors only for the component budget via
-	// linalg.EigenSymTopK. KPCA consumes at most MaxComponents
-	// components, so paying Jacobi's full-spectrum O(n³)-per-sweep cost
-	// was the analyze stage's dominant waste.
-	SolverTopK Solver = iota
-	// SolverJacobi is the full cyclic Jacobi eigendecomposition
-	// (linalg.EigenSym): the escape hatch that reproduces the pre-top-k
-	// pipeline output bit for bit, and the oracle the differential test
-	// suite checks SolverTopK against.
-	SolverJacobi
-)
-
-// String names the solver the way the bench artifact spells it.
-func (s Solver) String() string {
-	switch s {
-	case SolverTopK:
-		return "topk"
-	case SolverJacobi:
-		return "jacobi"
-	default:
-		return fmt.Sprintf("Solver(%d)", int(s))
-	}
-}
 
 // Config controls the transformation.
 type Config struct {
@@ -62,18 +31,6 @@ type Config struct {
 	// MinEigenvalue discards components with eigenvalues below this
 	// multiple of the largest eigenvalue.
 	MinEigenvalue float64
-	// Solver picks the eigensolver backend; the zero value is the top-k
-	// path. SolverJacobi is the full-spectrum escape hatch.
-	Solver Solver
-	// Kernel32 computes the training kernel matrix from float32
-	// coordinates in cache-blocked tiles. At million-sentence scales the
-	// O(n²·d) kernel build reads the training block n times over; the
-	// float32 copy halves that traffic and the tiling keeps both operands
-	// resident. The kernel entries still go through a float64 exp, so the
-	// error is bounded by float32 rounding of the squared distances
-	// (~1e-7 relative) — inside the golden-file epsilon, but off by
-	// default so the default path stays bit-identical.
-	Kernel32 bool
 }
 
 // DefaultConfig caps the representation at 12 components — enough
@@ -123,39 +80,17 @@ func Fit(x [][]float64, cfg Config) (*Transform, error) {
 		t.gamma = medianHeuristic(t.train)
 	}
 
-	// Uncentered kernel matrix, filled through the flat backing array.
-	k := linalg.NewMatrix(n, n)
-	if cfg.Kernel32 {
-		fillKernel32(k, t.train, t.gamma)
-	} else {
-		kd := k.Data
-		for i := 0; i < n; i++ {
-			kd[i*n+i] = 1
-			for j := i + 1; j < n; j++ {
-				v := t.kernel(t.train[i], t.train[j])
-				kd[i*n+j] = v
-				kd[j*n+i] = v
-			}
-		}
-	}
 	// Save means for centering test points, then center: K' = HKH.
-	kc, rowMNs, allMN := centerKernel(k)
+	kc, rowMNs, allMN := centerKernel(t.kernelMatrix())
 	t.rowMNs, t.allMN = rowMNs, allMN
 
-	// The component budget r is at most MaxComponents, so the default
-	// solver only recovers that many eigenvectors; Jacobi is the
-	// full-spectrum escape hatch (and the differential-test oracle).
-	var vals []float64
-	var vecs *linalg.Matrix
-	if cfg.Solver == SolverJacobi {
-		vals, vecs = linalg.EigenSym(kc)
-	} else {
-		budget := cfg.MaxComponents
-		if budget > n {
-			budget = n
-		}
-		vals, vecs = linalg.EigenSymTopK(kc, budget)
+	// The component budget r is at most MaxComponents, so the solver
+	// only recovers that many eigenvectors.
+	budget := cfg.MaxComponents
+	if budget > n {
+		budget = n
 	}
+	vals, vecs := linalg.EigenSymTopK(kc, budget)
 	if len(vals) == 0 || vals[0] <= 0 {
 		return nil, fmt.Errorf("kpca: centered kernel matrix has no positive eigenvalues")
 	}
@@ -165,8 +100,8 @@ func Fit(x [][]float64, cfg Config) (*Transform, error) {
 	}
 	t.r = r
 	// Normalize eigenvectors so projected coordinates have unit variance
-	// structure: alpha_p = v_p / sqrt(lambda_p). vecs is n×n from Jacobi
-	// but only n×budget from the top-k path, so the row stride differs.
+	// structure: alpha_p = v_p / sqrt(lambda_p). vecs is n×budget, so its
+	// row stride is the budget, not r.
 	t.alphas = linalg.NewMatrix(n, r)
 	ad, vd, stride := t.alphas.Data, vecs.Data, vecs.Cols
 	for p := 0; p < r; p++ {
@@ -178,59 +113,21 @@ func Fit(x [][]float64, cfg Config) (*Transform, error) {
 	return t, nil
 }
 
-// fillKernel32 fills the uncentered RBF kernel matrix from a float32
-// copy of the standardized training points, tiled so both operand blocks
-// stay cache-resident. Squared distances accumulate in float32 — the
-// precision knob — while the exponential and the stored entry remain
-// float64.
-func fillKernel32(k *linalg.Matrix, train [][]float64, gamma float64) {
-	n := len(train)
-	d := 0
-	if n > 0 {
-		d = len(train[0])
-	}
-	flat := make([]float32, n*d)
-	for i, row := range train {
-		dst := flat[i*d : (i+1)*d : (i+1)*d]
-		for j, v := range row {
-			dst[j] = float32(v)
-		}
-	}
-	const tile = 64
+// kernelMatrix returns the uncentered RBF kernel matrix of the
+// standardized training points, filled through the flat backing array.
+func (t *Transform) kernelMatrix() *linalg.Matrix {
+	n := len(t.train)
+	k := linalg.NewMatrix(n, n)
 	kd := k.Data
-	for ib := 0; ib < n; ib += tile {
-		iend := ib + tile
-		if iend > n {
-			iend = n
-		}
-		for jb := ib; jb < n; jb += tile {
-			jend := jb + tile
-			if jend > n {
-				jend = n
-			}
-			for i := ib; i < iend; i++ {
-				xi := flat[i*d : (i+1)*d : (i+1)*d]
-				jstart := jb
-				if jstart <= i {
-					jstart = i + 1
-				}
-				for j := jstart; j < jend; j++ {
-					xj := flat[j*d : (j+1)*d : (j+1)*d]
-					var d2 float32
-					for c, v := range xi {
-						diff := v - xj[c]
-						d2 += diff * diff
-					}
-					v := math.Exp(-gamma * float64(d2))
-					kd[i*n+j] = v
-					kd[j*n+i] = v
-				}
-			}
-		}
-	}
 	for i := 0; i < n; i++ {
 		kd[i*n+i] = 1
+		for j := i + 1; j < n; j++ {
+			v := t.kernel(t.train[i], t.train[j])
+			kd[i*n+j] = v
+			kd[j*n+i] = v
+		}
 	}
+	return k
 }
 
 // Components returns the output dimensionality r.

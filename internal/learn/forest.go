@@ -172,8 +172,12 @@ func pure(ys []dp.Label) bool {
 	return true
 }
 
+// gini returns the Gini impurity of the labels. The squared shares are
+// subtracted in label order: summed in map order, their rounding varied
+// from run to run and could flip a split between two candidates of
+// equal gain.
 func gini(ys []dp.Label) float64 {
-	counts := map[dp.Label]int{}
+	var counts [dp.Accidental + 1]int
 	for _, y := range ys {
 		counts[y]++
 	}

@@ -223,6 +223,23 @@ func TestForestDeterministic(t *testing.T) {
 	}
 }
 
+// TestGiniSumsInLabelOrder: with label shares 1/9, 1/9 and 7/9 the three
+// possible subtraction orders round to three different values, so a
+// gini that summed in map order changed from call to call.
+func TestGiniSumsInLabelOrder(t *testing.T) {
+	ys := []dp.Label{dp.NonDP, dp.Intentional}
+	for i := 0; i < 7; i++ {
+		ys = append(ys, dp.Accidental)
+	}
+	n := float64(len(ys))
+	want := 1.0 - (1/n)*(1/n) - (1/n)*(1/n) - (7/n)*(7/n)
+	for i := 0; i < 50; i++ {
+		if got := gini(ys); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: gini = %v, want %v (label-order sum)", i, got, want)
+		}
+	}
+}
+
 func TestForestPooled(t *testing.T) {
 	tasks := []*Task{synthTask(81, "c1", 4, 15, 0.5), synthTask(82, "c2", 4, 15, 0.5)}
 	if _, err := TrainForestPooled(tasks, DefaultForestConfig()); err != nil {

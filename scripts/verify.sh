@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # verify.sh — driftclean's full verification gate.
 #
-# Runs, in order: build, go vet, driftlint (the project-native static
-# analyzers in internal/lint), the chaos/fault-injection suites, the
-# hearst fuzz seed corpus, the full test suite under the race detector,
-# and a total-statement-coverage ratchet (override with COVER_MIN). Any
+# Runs, in order: build, go vet, the benchmark module's build, vet and
+# tests, driftlint (the project-native static analyzers in
+# internal/lint), the chaos/fault-injection suites, the hearst fuzz seed
+# corpus, the full test suite under the race detector, and a
+# total-statement-coverage ratchet (override with COVER_MIN). Any
 # diagnostic from any stage fails the gate (nonzero exit), which is
 # exactly what CI wants: the paper's drift metrics are only meaningful
 # when every run is deterministic and race-free.
@@ -22,6 +23,12 @@ go build -o "$(mktemp -d)/driftserve" ./cmd/driftserve
 
 echo "==> go vet ./..."
 go vet ./...
+
+# perfbench is its own module compiled against internal packages, so an
+# internal API change that breaks it must fail here, not at the next
+# benchmark run.
+echo "==> perfbench: go build, go vet, go test (benchmark module)"
+(cd perfbench && go build ./... && go vet ./... && go test ./...)
 
 # The suppression budget is a ratchet: 6 //lint:ignore directives are
 # reviewed and justified in-source today. Lowering the number is always
